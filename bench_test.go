@@ -427,3 +427,25 @@ func BenchmarkTraceCollection(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTraceCollectionApp isolates trace collection, serially, on
+// the Memcached- and Redis-scale Table 9 modules; run it with -benchmem
+// to see the bytes and allocations one collection costs.
+func BenchmarkTraceCollectionApp(b *testing.B) {
+	for _, spec := range core.AppSpecs() {
+		if spec.Name != "Memcached" && spec.Name != "Redis" {
+			continue
+		}
+		m := core.GenerateApp(spec)
+		a := dsa.Analyze(m, dsa.DefaultOptions())
+		b.Run(spec.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c := trace.NewCollector(a, trace.DefaultOptions())
+				for _, fn := range m.FuncNames() {
+					c.FunctionTraces(fn)
+				}
+			}
+		})
+	}
+}

@@ -164,7 +164,7 @@ func (c *Checker) CheckTrace(t *trace.Trace, rep *report.Report) {
 // wrec tracks one persistent write awaiting durability.
 type wrec struct {
 	idx      int
-	e        trace.Entry
+	e        trace.Op
 	covered  bool // a flush covered it, or its object was undo-logged
 	domain   bool // durable at store time (CXL persistence domain)
 	epochSeq int  // id of the enclosing epoch, -1 outside epochs
@@ -173,10 +173,10 @@ type wrec struct {
 
 // txFrame tracks one open transaction.
 type txFrame struct {
-	beginEntry    trace.Entry
+	beginEntry    trace.Op
 	logged        []dsa.Cell
 	writes        int
-	flushesPerObj map[*dsa.Node][]trace.Entry
+	flushesPerObj map[*dsa.Node][]trace.Op
 	writtenObjs   map[*dsa.Node]bool
 	fenceLast     bool // the most recent persistency op inside was a fence
 }
@@ -193,24 +193,26 @@ type scanner struct {
 	inEpoch  bool
 	// barrier bookkeeping
 	fenceSinceFlush bool
-	unfencedFlushes []trace.Entry
+	unfencedFlushes []trace.Op
 	// region bookkeeping for the semantic-mismatch rule: persistent
 	// objects written by the previous and current tx/epoch region.
-	prevRegion map[*dsa.Node]trace.Entry
-	curRegion  map[*dsa.Node]trace.Entry
+	prevRegion map[*dsa.Node]trace.Op
+	curRegion  map[*dsa.Node]trace.Op
 	inRegion   bool
 	// epoch-barrier bookkeeping
-	lastEpochEnd       *trace.Entry
+	lastEpochEnd       *trace.Op
 	fenceSinceEpochEnd bool
 	// strand bookkeeping (static WAW check)
-	strandWrites map[int64][]trace.Entry
+	strandWrites map[int64][]trace.Op
 	curStrand    int64
 	// CXL-contract bookkeeping.  autoDomain: stores are durable at
 	// store time (whole-heap persistence domain).  unbarriered tracks
 	// domain writes not yet committed by a global persist barrier —
 	// a device failure discards them (DMC-X02).
 	autoDomain  bool
-	unbarriered []trace.Entry
+	unbarriered []trace.Op
+	// cells is distinctPendingCells' scratch buffer, reused per fence.
+	cells []dsa.Cell
 	// Incremental per-object write/flush summaries keep every per-entry
 	// check O(1)-ish, so long interprocedurally-merged traces stay
 	// linear to scan.
@@ -221,7 +223,7 @@ type scanner struct {
 // flushRec is one seen flush; dirty marks an overlapping write since.
 type flushRec struct {
 	field string
-	e     trace.Entry
+	e     trace.Op
 	dirty bool
 }
 
@@ -230,10 +232,11 @@ func (s *scanner) run() {
 	s.curStrand = -1
 	s.fenceSinceFlush = true
 	s.fenceSinceEpochEnd = true
-	s.strandWrites = make(map[int64][]trace.Entry)
+	s.strandWrites = make(map[int64][]trace.Op)
 	s.writtenFields = make(map[*dsa.Node]map[string]bool)
 	s.flushHist = make(map[*dsa.Node][]flushRec)
-	for i, e := range s.trace.Entries {
+	for i := range s.trace.Entries {
+		e := s.trace.Op(i)
 		switch e.Kind {
 		case trace.KWrite:
 			s.onWrite(i, e)
@@ -260,7 +263,7 @@ func (s *scanner) run() {
 	s.atTraceEnd()
 }
 
-func (s *scanner) warn(rule report.Rule, e trace.Entry, format string, args ...any) {
+func (s *scanner) warn(rule report.Rule, e trace.Op, format string, args ...any) {
 	if s.checker.Opts.Disabled[rule] {
 		return
 	}
@@ -293,7 +296,7 @@ func (s *scanner) loggedCovers(c dsa.Cell) bool {
 	return false
 }
 
-func (s *scanner) onWrite(i int, e trace.Entry) {
+func (s *scanner) onWrite(i int, e trace.Op) {
 	obj := e.Cell.Obj.Find()
 	wf := s.writtenFields[obj]
 	if wf == nil {
@@ -343,7 +346,7 @@ func (s *scanner) currentEpoch() int {
 	return -1
 }
 
-func (s *scanner) onFlush(i int, e trace.Entry) {
+func (s *scanner) onFlush(i int, e trace.Op) {
 	if s.autoDomain {
 		// Inside a device persistence domain the store was durable the
 		// moment it executed: the clwb writes back nothing and the flush
@@ -462,7 +465,7 @@ func topField(path string) string {
 	return path
 }
 
-func (s *scanner) onFence(e trace.Entry) {
+func (s *scanner) onFence(e trace.Op) {
 	switch s.model {
 	case Strict:
 		// Every pending write must have been flushed (or logged) by the
@@ -520,7 +523,7 @@ func (s *scanner) onFence(e trace.Entry) {
 		s.pending = kept
 	}
 	s.fenceSinceFlush = true
-	s.unfencedFlushes = nil
+	s.unfencedFlushes = s.unfencedFlushes[:0]
 	s.fenceSinceEpochEnd = true
 	// The global persist barrier commits every buffered domain write.
 	s.unbarriered = nil
@@ -533,7 +536,7 @@ func (s *scanner) onFence(e trace.Entry) {
 // distinct cells.  Uncovered writes are excluded: they already produce an
 // unflushed-write warning, and the barrier does not make them durable.
 func (s *scanner) distinctPendingCells() int {
-	var cells []dsa.Cell
+	cells := s.cells[:0]
 	for _, w := range s.pending {
 		if w.domain {
 			// Durable at store time: the barrier does not persist it.
@@ -553,21 +556,22 @@ func (s *scanner) distinctPendingCells() int {
 			cells = append(cells, w.e.Cell)
 		}
 	}
+	s.cells = cells
 	return len(cells)
 }
 
-func (s *scanner) onTxBegin(e trace.Entry) {
+func (s *scanner) onTxBegin(e trace.Op) {
 	// Strict persistency requires flushes to be fenced before the next
 	// transaction begins (Figure 3 of the paper).
 	if s.model == Strict && len(s.unfencedFlushes) > 0 {
 		fl := s.unfencedFlushes[len(s.unfencedFlushes)-1]
 		s.warn(report.RuleMissingBarrier, fl,
 			"flush of %s has no persist barrier before the next transaction begins", cellDesc(fl.Cell))
-		s.unfencedFlushes = nil
+		s.unfencedFlushes = s.unfencedFlushes[:0]
 	}
 	s.txStack = append(s.txStack, &txFrame{
 		beginEntry:    e,
-		flushesPerObj: make(map[*dsa.Node][]trace.Entry),
+		flushesPerObj: make(map[*dsa.Node][]trace.Op),
 		writtenObjs:   make(map[*dsa.Node]bool),
 	})
 	if len(s.txStack) == 1 {
@@ -575,7 +579,7 @@ func (s *scanner) onTxBegin(e trace.Entry) {
 	}
 }
 
-func (s *scanner) onTxEnd(e trace.Entry) {
+func (s *scanner) onTxEnd(e trace.Op) {
 	f := s.tx()
 	if f == nil {
 		return // unbalanced; verifier-level concern
@@ -626,11 +630,11 @@ func (s *scanner) onTxEnd(e trace.Entry) {
 		s.pending = kept
 		s.endRegion()
 	}
-	s.unfencedFlushes = nil
+	s.unfencedFlushes = s.unfencedFlushes[:0]
 	s.fenceSinceFlush = true
 }
 
-func (s *scanner) onTxAdd(e trace.Entry) {
+func (s *scanner) onTxAdd(e trace.Op) {
 	f := s.tx()
 	if f == nil {
 		return
@@ -646,7 +650,7 @@ func (s *scanner) onTxAdd(e trace.Entry) {
 	}
 }
 
-func (s *scanner) onEpochBegin(e trace.Entry) {
+func (s *scanner) onEpochBegin(e trace.Op) {
 	// Consecutive epochs need a barrier between them (Table 4).  When the
 	// previous epoch left covered writes pending, the defect surfaces at
 	// the eventual fence as "multiple writes made durable at once"; the
@@ -672,7 +676,7 @@ func (s *scanner) onEpochBegin(e trace.Entry) {
 	}
 }
 
-func (s *scanner) onEpochEnd(e trace.Entry) {
+func (s *scanner) onEpochEnd(e trace.Op) {
 	// Judge the epoch's writes: everything stored in the epoch must have
 	// been flushed (subset coverage) by its end.  Covered writes remain
 	// pending until a fence retires them, so the fence can detect
@@ -688,7 +692,7 @@ func (s *scanner) onEpochEnd(e trace.Entry) {
 	}
 	s.pending = kept
 	s.inEpoch = false
-	s.lastEpochEnd = &trace.Entry{}
+	s.lastEpochEnd = &trace.Op{}
 	*s.lastEpochEnd = e
 	s.fenceSinceEpochEnd = false
 	if len(s.txStack) == 0 {
@@ -699,7 +703,7 @@ func (s *scanner) onEpochEnd(e trace.Entry) {
 // beginRegion opens a semantic region (transaction or epoch) for the
 // semantic-mismatch rule.
 func (s *scanner) beginRegion() {
-	s.curRegion = make(map[*dsa.Node]trace.Entry)
+	s.curRegion = make(map[*dsa.Node]trace.Op)
 	s.inRegion = true
 }
 

@@ -58,8 +58,24 @@ var kindNames = [...]string{
 
 func (k Kind) String() string { return kindNames[k] }
 
-// Entry is one persistency-relevant operation in a trace.
+// Entry is one persistency-relevant operation in a trace, in the
+// compact form traces store: no pointers, so trace slices are neither
+// scanned by the garbage collector nor expensive to copy.  Its abstract
+// location and its defining (Func, File) site are indices into the
+// trace's Table; Trace.Op expands an entry into the full Op.
 type Entry struct {
+	// Line locates the operation in its defining function.
+	Line int
+	// arg is the explicit byte count of a sized flush (0 if none) or
+	// the strand id of a strand marker (-1 if dynamic).
+	arg  int64
+	cell uint32
+	site uint32
+	Kind Kind
+}
+
+// Op is one trace entry expanded against its trace's Table.
+type Op struct {
 	Kind Kind
 	// Cell is the abstract location for write/flush/txadd entries,
 	// expressed in the root function's DSG context.
@@ -75,8 +91,8 @@ type Entry struct {
 	Strand int64
 }
 
-// String renders the entry for diagnostics.
-func (e Entry) String() string {
+// String renders the operation for diagnostics.
+func (e Op) String() string {
 	switch e.Kind {
 	case KWrite, KFlush, KTxAdd:
 		return fmt.Sprintf("%s %s @%s:%d", e.Kind, e.Cell, e.File, e.Line)
@@ -87,18 +103,46 @@ func (e Entry) String() string {
 	}
 }
 
+// Table holds the abstract locations and defining sites that one
+// function's trace entries index.  It is built while the function is
+// explored and immutable once its traces are published; all of the
+// function's traces share it.  Index 0 is the empty cell and the
+// function's own site.
+type Table struct {
+	cells []dsa.Cell
+	sites []site
+}
+
+// site is a defining (function, file) pair.
+type site struct{ fn, file string }
+
 // Trace is one merged path through a function.
 type Trace struct {
 	Func    string
 	Entries []Entry
+	tab     *Table
+}
+
+// Op expands the i'th entry.
+func (t *Trace) Op(i int) Op {
+	e := t.Entries[i]
+	s := t.tab.sites[e.site]
+	op := Op{Kind: e.Kind, Cell: t.tab.cells[e.cell], Func: s.fn, File: s.file, Line: e.Line, Strand: -1}
+	switch e.Kind {
+	case KFlush:
+		op.Size = int(e.arg)
+	case KStrandBegin, KStrandEnd:
+		op.Strand = e.arg
+	}
+	return op
 }
 
 // String renders the whole trace, one entry per line.
 func (t *Trace) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "trace of %s:\n", t.Func)
-	for _, e := range t.Entries {
-		fmt.Fprintf(&b, "  %s\n", e.String())
+	for i := range t.Entries {
+		fmt.Fprintf(&b, "  %s\n", t.Op(i).String())
 	}
 	return b.String()
 }
@@ -284,12 +328,10 @@ func (c *Collector) collect(fn string, visiting map[string]bool) []*Trace {
 	if err != nil {
 		return nil
 	}
-	dsg := c.Analysis.Graph(fn)
-	e := &explorer{c: c, f: f, g: g, dsg: dsg, visiting: visiting}
-	e.reach = e.computeReach()
+	e := newExplorer(c, f, g, visiting)
 	var paths []*Trace
 	if entry := g.Entry(); entry != nil {
-		e.walk(entry, nil, make(map[string]int), &paths)
+		e.walk(entry, nil, &paths)
 	}
 	// Prioritize persistent-op-heavy traces (stable by construction order).
 	sortTraces(paths)
@@ -313,12 +355,71 @@ func (c *Collector) collect(fn string, visiting map[string]bool) []*Trace {
 // sortTraces orders traces by descending persistent-op count, stable.
 func sortTraces(ts []*Trace) {
 	// Insertion sort keeps stability without importing sort.SliceStable
-	// gymnastics on a tiny slice.
+	// gymnastics on a tiny slice.  Each trace's count is taken once and
+	// moves with its trace.
+	n := make([]int, len(ts))
+	for i, t := range ts {
+		n[i] = t.PersistentOps()
+	}
 	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && ts[j].PersistentOps() > ts[j-1].PersistentOps(); j-- {
+		for j := i; j > 0 && n[j] > n[j-1]; j-- {
 			ts[j], ts[j-1] = ts[j-1], ts[j]
+			n[j], n[j-1] = n[j-1], n[j]
 		}
 	}
+}
+
+// chunk is one link of a continuation: a run of entries following its
+// parent's.  Chunks are immutable once built, so continuations that fork
+// at a branch or a call site share their common prefix instead of
+// copying it; a trace is written out once, when its path ends.  A nil
+// chunk is the empty continuation.
+type chunk struct {
+	parent *chunk
+	run    []Entry
+	// n is the continuation's total length through this chunk.
+	n int
+}
+
+func (c *chunk) len() int {
+	if c == nil {
+		return 0
+	}
+	return c.n
+}
+
+// extend returns c followed by run, sharing c.
+func (c *chunk) extend(run []Entry) *chunk {
+	if len(run) == 0 {
+		return c
+	}
+	return &chunk{parent: c, run: run, n: c.len() + len(run)}
+}
+
+// entries writes the continuation out as one slice.
+func (c *chunk) entries() []Entry {
+	out := make([]Entry, c.len())
+	for ; c != nil; c = c.parent {
+		copy(out[c.n-len(c.run):c.n], c.run)
+	}
+	return out
+}
+
+// blockPlan is one block's expansion, computed on its first visit: the
+// block's own entries grouped into runs between the call sites that
+// splice callee traces, and its successors in exploration order.
+type blockPlan struct {
+	segs  []segment
+	succs []*cfg.Node
+	// visits counts the block's occurrences on the current path.
+	visits int
+}
+
+// segment is either a run of the block's own entries or a call site.
+type segment struct {
+	run  []Entry
+	call *ir.Instr
+	ref  ir.InstrRef
 }
 
 // explorer enumerates paths through one function.
@@ -333,9 +434,54 @@ type explorer struct {
 	// reach[block] reports whether any persistent op is reachable from
 	// the block within this function (prioritization metric).
 	reach map[string]bool
+	// plans is indexed by cfg.Node.Index.
+	plans []*blockPlan
+	// tab is the function's table; cellIdx and siteIdx intern into it.
+	tab     *Table
+	cellIdx map[dsa.Cell]uint32
+	siteIdx map[site]uint32
+	// variants memoizes each call site's callee traces translated into
+	// this function's context and table.
+	variants map[ir.InstrRef][][]Entry
 	// truncated latches when any continuation hits the trace-entry
 	// budget, or a spliced callee's traces were themselves truncated.
 	truncated bool
+}
+
+func newExplorer(c *Collector, f *ir.Function, g *cfg.Graph, visiting map[string]bool) *explorer {
+	own := site{f.Name, f.File}
+	e := &explorer{
+		c: c, f: f, g: g,
+		dsg:      c.Analysis.Graph(f.Name),
+		visiting: visiting,
+		plans:    make([]*blockPlan, len(g.Nodes)),
+		tab:      &Table{cells: []dsa.Cell{{}}, sites: []site{own}},
+		cellIdx:  map[dsa.Cell]uint32{{}: 0},
+		siteIdx:  map[site]uint32{own: 0},
+		variants: make(map[ir.InstrRef][][]Entry),
+	}
+	e.reach = e.computeReach()
+	return e
+}
+
+func (e *explorer) internCell(c dsa.Cell) uint32 {
+	i, ok := e.cellIdx[c]
+	if !ok {
+		i = uint32(len(e.tab.cells))
+		e.tab.cells = append(e.tab.cells, c)
+		e.cellIdx[c] = i
+	}
+	return i
+}
+
+func (e *explorer) internSite(s site) uint32 {
+	i, ok := e.siteIdx[s]
+	if !ok {
+		i = uint32(len(e.tab.sites))
+		e.tab.sites = append(e.tab.sites, s)
+		e.siteIdx[s] = i
+	}
+	return i
 }
 
 // computeReach marks blocks from which a persistent operation is
@@ -389,38 +535,66 @@ func (e *explorer) cellOf(v ir.Value) dsa.Cell {
 	return dsa.Cell{}
 }
 
-// walk explores paths depth-first.  prefix holds entries accumulated so
-// far; visits counts block occurrences on the current path.
-func (e *explorer) walk(n *cfg.Node, prefix []Entry, visits map[string]int, out *[]*Trace) {
+// plan returns n's block plan, building it on first use.
+func (e *explorer) plan(n *cfg.Node) *blockPlan {
+	if p := e.plans[n.Index]; p != nil {
+		return p
+	}
+	p := &blockPlan{succs: e.orderedSuccs(n)}
+	b := n.Block
+	var run []Entry
+	for i := range b.Instrs {
+		in := &b.Instrs[i]
+		if in.Op == ir.OpCall {
+			if _, defined := e.c.Analysis.Module.Funcs[in.Callee]; !defined {
+				continue
+			}
+			if len(run) > 0 {
+				p.segs = append(p.segs, segment{run: run})
+				run = nil
+			}
+			p.segs = append(p.segs, segment{call: in, ref: ir.InstrRef{Func: e.f.Name, Block: b.Name, Index: i}})
+		} else if entry, ok := e.entryFor(in); ok {
+			run = append(run, entry)
+		}
+	}
+	if len(run) > 0 {
+		p.segs = append(p.segs, segment{run: run})
+	}
+	e.plans[n.Index] = p
+	return p
+}
+
+// walk explores paths depth-first.  prefix holds the entries accumulated
+// so far.
+func (e *explorer) walk(n *cfg.Node, prefix *chunk, out *[]*Trace) {
 	if len(*out) >= e.c.Opts.MaxPaths {
 		return
 	}
 	if e.c.Opts.Cancelled != nil && e.c.Opts.Cancelled() {
 		return
 	}
-	name := n.Block.Name
-	if visits[name] >= e.c.Opts.LoopIterations {
+	p := e.plan(n)
+	if p.visits >= e.c.Opts.LoopIterations {
 		return
 	}
-	visits[name]++
-	defer func() { visits[name]-- }()
+	p.visits++
+	defer func() { p.visits-- }()
 
 	// Expanding the block may fork the path at call sites with several
 	// callee variants, so block expansion yields a list of continuations.
-	conts := e.expandBlock(n.Block, prefix)
-	succs := e.orderedSuccs(n)
+	conts := e.expandBlock(p, prefix)
 	for _, cont := range conts {
-		if len(succs) == 0 {
+		if len(p.succs) == 0 {
 			// Path ends here (ret).
-			t := &Trace{Func: e.f.Name, Entries: append([]Entry(nil), cont...)}
-			*out = append(*out, t)
+			*out = append(*out, &Trace{Func: e.f.Name, Entries: cont.entries(), tab: e.tab})
 			if len(*out) >= e.c.Opts.MaxPaths {
 				return
 			}
 			continue
 		}
-		for _, s := range succs {
-			e.walk(s, cont, visits, out)
+		for _, s := range p.succs {
+			e.walk(s, cont, out)
 			if len(*out) >= e.c.Opts.MaxPaths {
 				return
 			}
@@ -450,73 +624,76 @@ func (e *explorer) orderedSuccs(n *cfg.Node) []*cfg.Node {
 	return ordered
 }
 
-// expandBlock appends the block's entries to prefix.  Call sites to
+// expandBlock extends prefix by the block's entries.  Call sites to
 // defined callees splice in callee traces (several variants fork the
 // path).  It returns all resulting continuations.
-func (e *explorer) expandBlock(b *ir.Block, prefix []Entry) [][]Entry {
-	conts := [][]Entry{append([]Entry(nil), prefix...)}
-	for i := range b.Instrs {
-		in := &b.Instrs[i]
-		switch in.Op {
-		case ir.OpCall:
-			ref := ir.InstrRef{Func: e.f.Name, Block: b.Name, Index: i}
-			variants := e.calleeVariants(in, ref)
-			if len(variants) == 0 {
-				continue
-			}
-			cap := e.c.Opts.MaxTraceEntries
-			var next [][]Entry
-			for _, cont := range conts {
-				for _, v := range variants {
-					if len(cont) >= cap {
-						// The path already hit the entry budget; keep it
-						// as-is instead of splicing further callees.
-						e.truncated = true
-						next = append(next, cont)
-						break
+func (e *explorer) expandBlock(p *blockPlan, prefix *chunk) []*chunk {
+	conts := []*chunk{prefix}
+	max := e.c.Opts.MaxTraceEntries
+	for _, seg := range p.segs {
+		if seg.call == nil {
+			for ci, cont := range conts {
+				run := seg.run
+				if room := max - cont.len(); room < len(run) {
+					// Entries dropped: the budget is exhausted.
+					e.truncated = true
+					if room < 0 {
+						room = 0
 					}
-					room := cap - len(cont)
-					if room >= len(v) {
-						room = len(v)
-					} else {
-						// Only a prefix of the callee trace fits.
-						e.truncated = true
-					}
-					merged := make([]Entry, 0, len(cont)+room)
-					merged = append(merged, cont...)
-					merged = append(merged, v[:room]...)
-					next = append(next, merged)
-					if len(next) >= e.c.Opts.MaxPaths {
-						break
-					}
+					run = run[:room]
 				}
+				conts[ci] = cont.extend(run)
+			}
+			continue
+		}
+		variants := e.calleeVariants(seg.call, seg.ref)
+		if len(variants) == 0 {
+			continue
+		}
+		var next []*chunk
+		for _, cont := range conts {
+			for _, v := range variants {
+				if cont.len() >= max {
+					// The path already hit the entry budget; keep it
+					// as-is instead of splicing further callees.
+					e.truncated = true
+					next = append(next, cont)
+					break
+				}
+				room := max - cont.len()
+				if room >= len(v) {
+					room = len(v)
+				} else {
+					// Only a prefix of the callee trace fits.
+					e.truncated = true
+				}
+				next = append(next, cont.extend(v[:room]))
 				if len(next) >= e.c.Opts.MaxPaths {
 					break
 				}
 			}
-			conts = next
-		default:
-			if entry, ok := e.entryFor(in); ok {
-				for ci := range conts {
-					if len(conts[ci]) < e.c.Opts.MaxTraceEntries {
-						conts[ci] = append(conts[ci], entry)
-					} else {
-						// Entry dropped: the budget is exhausted.
-						e.truncated = true
-					}
-				}
+			if len(next) >= e.c.Opts.MaxPaths {
+				break
 			}
 		}
+		conts = next
 	}
 	return conts
 }
 
 // calleeVariants returns the callee's merged trace entry lists translated
-// into this function's DSG context, capped at MaxCalleeVariants.
+// into this function's DSG context, capped at MaxCalleeVariants.  The
+// translation is computed once per call site.
 func (e *explorer) calleeVariants(in *ir.Instr, ref ir.InstrRef) [][]Entry {
-	if _, defined := e.c.Analysis.Module.Funcs[in.Callee]; !defined {
-		return nil
+	if v, ok := e.variants[ref]; ok {
+		return v
 	}
+	v := e.translateVariants(in, ref)
+	e.variants[ref] = v
+	return v
+}
+
+func (e *explorer) translateVariants(in *ir.Instr, ref ir.InstrRef) [][]Entry {
 	calleeTraces := e.c.collect(in.Callee, e.visiting)
 	if e.c.Truncated(in.Callee) {
 		// The splice inherits the callee's budget exhaustion: the merged
@@ -526,22 +703,62 @@ func (e *explorer) calleeVariants(in *ir.Instr, ref ir.InstrRef) [][]Entry {
 	if len(calleeTraces) == 0 {
 		return nil
 	}
-	mapping := e.dsg.CallMaps[ref]
 	limit := e.c.Opts.MaxCalleeVariants
 	if limit > len(calleeTraces) {
 		limit = len(calleeTraces)
 	}
-	out := make([][]Entry, 0, limit)
+	total := 0
 	for _, t := range calleeTraces[:limit] {
-		entries := make([]Entry, 0, len(t.Entries))
-		for _, en := range t.Entries {
-			te := en
-			te.Cell = translateCell(en.Cell, mapping)
-			entries = append(entries, te)
+		total += len(t.Entries)
+	}
+	buf := make([]Entry, 0, total)
+	out := make([][]Entry, 0, limit)
+	var rm *remap
+	for _, t := range calleeTraces[:limit] {
+		// A function's traces share one table; seeded traces carry the
+		// table of the run that produced them.
+		if rm == nil || rm.from != t.tab {
+			rm = e.newRemap(t.tab, e.dsg.CallMaps[ref])
 		}
-		out = append(out, entries)
+		start := len(buf)
+		for _, en := range t.Entries {
+			en.cell = rm.cell(en.cell)
+			en.site = rm.sites[en.site]
+			buf = append(buf, en)
+		}
+		out = append(out, buf[start:len(buf):len(buf)])
 	}
 	return out
+}
+
+// remap translates one callee table's indices into the caller's table.
+// Sites are mapped eagerly; cells on first use, through the call site's
+// DSA clone mapping.
+type remap struct {
+	e       *explorer
+	from    *Table
+	mapping map[*dsa.Node]*dsa.Node
+	// cells[i] is the caller index of callee cell i, 0 until resolved
+	// (only the empty cell maps to 0).
+	cells []uint32
+	sites []uint32
+}
+
+func (e *explorer) newRemap(from *Table, mapping map[*dsa.Node]*dsa.Node) *remap {
+	rm := &remap{e: e, from: from, mapping: mapping,
+		cells: make([]uint32, len(from.cells)), sites: make([]uint32, len(from.sites))}
+	for i, s := range from.sites {
+		rm.sites[i] = e.internSite(s)
+	}
+	return rm
+}
+
+func (rm *remap) cell(i uint32) uint32 {
+	if i == 0 || rm.cells[i] != 0 {
+		return rm.cells[i]
+	}
+	rm.cells[i] = rm.e.internCell(translateCell(rm.from.cells[i], rm.mapping))
+	return rm.cells[i]
 }
 
 // translateCell maps a callee-context cell into the caller's context via
@@ -559,16 +776,17 @@ func translateCell(c dsa.Cell, mapping map[*dsa.Node]*dsa.Node) dsa.Cell {
 	return c
 }
 
-// entryFor converts one instruction to a trace entry.  Writes, flushes
-// and txadds to non-persistent storage are dropped, as in the paper.
+// entryFor converts one of the function's own instructions to a trace
+// entry.  Writes, flushes and txadds to non-persistent storage are
+// dropped, as in the paper.
 func (e *explorer) entryFor(in *ir.Instr) (Entry, bool) {
-	base := Entry{Func: e.f.Name, File: e.f.File, Line: in.Line, Strand: -1}
-	persistentTarget := func(v ir.Value) (dsa.Cell, bool) {
+	base := Entry{Line: in.Line}
+	persistentTarget := func(v ir.Value) (uint32, bool) {
 		cell := e.cellOf(v)
 		if !cell.IsPtr() || !cell.Obj.Persistent() {
-			return dsa.Cell{}, false
+			return 0, false
 		}
-		return cell, true
+		return e.internCell(cell), true
 	}
 	switch in.Op {
 	case ir.OpStore, ir.OpMemCopy, ir.OpMemSet:
@@ -577,7 +795,7 @@ func (e *explorer) entryFor(in *ir.Instr) (Entry, bool) {
 			return Entry{}, false
 		}
 		base.Kind = KWrite
-		base.Cell = cell
+		base.cell = cell
 		return base, true
 	case ir.OpFlush:
 		cell, ok := persistentTarget(in.Args[0])
@@ -585,10 +803,10 @@ func (e *explorer) entryFor(in *ir.Instr) (Entry, bool) {
 			return Entry{}, false
 		}
 		base.Kind = KFlush
-		base.Cell = cell
+		base.cell = cell
 		if len(in.Args) > 1 {
 			if c, isC := in.Args[1].(ir.Const); isC {
-				base.Size = int(c.Val)
+				base.arg = c.Val
 			}
 		}
 		return base, true
@@ -598,7 +816,7 @@ func (e *explorer) entryFor(in *ir.Instr) (Entry, bool) {
 			return Entry{}, false
 		}
 		base.Kind = KTxAdd
-		base.Cell = cell
+		base.cell = cell
 		return base, true
 	case ir.OpFence:
 		base.Kind = KFence
@@ -621,8 +839,9 @@ func (e *explorer) entryFor(in *ir.Instr) (Entry, bool) {
 		} else {
 			base.Kind = KStrandEnd
 		}
+		base.arg = -1
 		if c, isC := in.Args[0].(ir.Const); isC {
-			base.Strand = c.Val
+			base.arg = c.Val
 		}
 		return base, true
 	}

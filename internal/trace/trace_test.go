@@ -58,7 +58,7 @@ func f() {
 			t.Errorf("entry %d = %v, want %v", i, got[i], want[i])
 		}
 	}
-	e := ts[0].Entries[0]
+	e := ts[0].Op(0)
 	if e.Line != 10 || e.File != "f.c" {
 		t.Errorf("entry location = %s:%d", e.File, e.Line)
 	}
@@ -127,9 +127,9 @@ out:
 	fields := map[string]bool{}
 	for _, tr := range ts {
 		if len(tr.Entries) != 2 {
-			t.Fatalf("trace entries = %v", tr.Entries)
+			t.Fatalf("trace entries = %s", tr)
 		}
-		fields[tr.Entries[0].Cell.Field] = true
+		fields[tr.Op(0).Cell.Field] = true
 	}
 	if !fields["a"] || !fields["b"] {
 		t.Errorf("branch fields covered = %v", fields)
@@ -217,7 +217,7 @@ func f() {
 	if len(got) != len(want) {
 		t.Fatalf("kinds = %v, want %v", got, want)
 	}
-	w, fl := ts[0].Entries[0], ts[0].Entries[1]
+	w, fl := ts[0].Op(0), ts[0].Op(1)
 	// Callee location preserved.
 	if fl.File != "lib.c" || fl.Line != 50 {
 		t.Errorf("flush location = %s:%d, want lib.c:50", fl.File, fl.Line)
@@ -262,14 +262,14 @@ func top() {
 	if len(ts) != 1 {
 		t.Fatalf("got %d traces", len(ts))
 	}
-	var w, fl *Entry
+	var w, fl *Op
 	for i := range ts[0].Entries {
-		e := &ts[0].Entries[i]
+		e := ts[0].Op(i)
 		switch e.Kind {
 		case KWrite:
-			w = e
+			w = &e
 		case KFlush:
-			fl = e
+			fl = &e
 		}
 	}
 	if w == nil || fl == nil {
@@ -385,7 +385,7 @@ func f() {
 			t.Errorf("entry %d = %v, want %v", i, got[i], want[i])
 		}
 	}
-	if ts[0].Entries[4].Strand != 1 {
-		t.Errorf("strand id = %d", ts[0].Entries[4].Strand)
+	if ts[0].Op(4).Strand != 1 {
+		t.Errorf("strand id = %d", ts[0].Op(4).Strand)
 	}
 }
