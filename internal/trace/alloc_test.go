@@ -1,6 +1,7 @@
 package trace_test
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -39,5 +40,22 @@ func TestCollectionAllocBound(t *testing.T) {
 	t.Logf("Memcached-scale collection allocated %.1f MB", mb)
 	if mb > boundMB {
 		t.Errorf("collection allocated %.1f MB, bound %d MB", mb, boundMB)
+	}
+}
+
+// TestEntryCompactAndPointerFree pins the stored entry's shape: at most
+// 32 bytes and no pointers, so trace slices are not scanned by the
+// garbage collector.
+func TestEntryCompactAndPointerFree(t *testing.T) {
+	typ := reflect.TypeOf(trace.Entry{})
+	if typ.Size() > 32 {
+		t.Errorf("trace.Entry is %d bytes, want at most 32", typ.Size())
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Int, reflect.Int64, reflect.Uint32, reflect.Uint8:
+		default:
+			t.Errorf("trace.Entry.%s has kind %s, want a plain integer", f.Name, f.Type.Kind())
+		}
 	}
 }

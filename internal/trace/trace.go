@@ -14,6 +14,11 @@
 //   - merges callee traces into caller traces in call-graph post-order,
 //     translating callee abstract locations into the caller's context
 //     through the per-call-site DSA clone mappings.
+//
+// Exploration never copies a path: a continuation is a chain of shared,
+// immutable entry runs, written out as one slice when its path ends.
+// Entries are small and pointer-free; their cells and sites index a
+// per-function table shared by all of the function's traces.
 package trace
 
 import (
@@ -62,7 +67,7 @@ func (k Kind) String() string { return kindNames[k] }
 // compact form traces store: no pointers, so trace slices are neither
 // scanned by the garbage collector nor expensive to copy.  Its abstract
 // location and its defining (Func, File) site are indices into the
-// trace's Table; Trace.Op expands an entry into the full Op.
+// trace's table; Trace.Op expands an entry into the full Op.
 type Entry struct {
 	// Line locates the operation in its defining function.
 	Line int
@@ -74,7 +79,7 @@ type Entry struct {
 	Kind Kind
 }
 
-// Op is one trace entry expanded against its trace's Table.
+// Op is one trace entry expanded against its trace's table.
 type Op struct {
 	Kind Kind
 	// Cell is the abstract location for write/flush/txadd entries,
@@ -103,12 +108,12 @@ func (e Op) String() string {
 	}
 }
 
-// Table holds the abstract locations and defining sites that one
+// table holds the abstract locations and defining sites that one
 // function's trace entries index.  It is built while the function is
 // explored and immutable once its traces are published; all of the
 // function's traces share it.  Index 0 is the empty cell and the
 // function's own site.
-type Table struct {
+type table struct {
 	cells []dsa.Cell
 	sites []site
 }
@@ -120,7 +125,9 @@ type site struct{ fn, file string }
 type Trace struct {
 	Func    string
 	Entries []Entry
-	tab     *Table
+	// tab is the table of the function the trace was collected for,
+	// shared by all of that function's traces.
+	tab *table
 }
 
 // Op expands the i'th entry.
@@ -396,9 +403,12 @@ func (c *chunk) extend(run []Entry) *chunk {
 	return &chunk{parent: c, run: run, n: c.len() + len(run)}
 }
 
-// entries writes the continuation out as one slice.
+// entries writes the continuation out as one slice (nil when empty).
 func (c *chunk) entries() []Entry {
-	out := make([]Entry, c.len())
+	if c == nil {
+		return nil
+	}
+	out := make([]Entry, c.n)
 	for ; c != nil; c = c.parent {
 		copy(out[c.n-len(c.run):c.n], c.run)
 	}
@@ -416,10 +426,15 @@ type blockPlan struct {
 }
 
 // segment is either a run of the block's own entries or a call site.
+// A call site's callee variants, translated into this function's context
+// and table, are computed on its first visit and reused on every later
+// one.
 type segment struct {
-	run  []Entry
-	call *ir.Instr
-	ref  ir.InstrRef
+	run        []Entry
+	call       *ir.Instr
+	ref        ir.InstrRef
+	variants   [][]Entry
+	translated bool
 }
 
 // explorer enumerates paths through one function.
@@ -437,12 +452,9 @@ type explorer struct {
 	// plans is indexed by cfg.Node.Index.
 	plans []*blockPlan
 	// tab is the function's table; cellIdx and siteIdx intern into it.
-	tab     *Table
+	tab     *table
 	cellIdx map[dsa.Cell]uint32
 	siteIdx map[site]uint32
-	// variants memoizes each call site's callee traces translated into
-	// this function's context and table.
-	variants map[ir.InstrRef][][]Entry
 	// truncated latches when any continuation hits the trace-entry
 	// budget, or a spliced callee's traces were themselves truncated.
 	truncated bool
@@ -455,10 +467,9 @@ func newExplorer(c *Collector, f *ir.Function, g *cfg.Graph, visiting map[string
 		dsg:      c.Analysis.Graph(f.Name),
 		visiting: visiting,
 		plans:    make([]*blockPlan, len(g.Nodes)),
-		tab:      &Table{cells: []dsa.Cell{{}}, sites: []site{own}},
+		tab:      &table{cells: []dsa.Cell{{}}, sites: []site{own}},
 		cellIdx:  map[dsa.Cell]uint32{{}: 0},
 		siteIdx:  map[site]uint32{own: 0},
-		variants: make(map[ir.InstrRef][][]Entry),
 	}
 	e.reach = e.computeReach()
 	return e
@@ -630,7 +641,8 @@ func (e *explorer) orderedSuccs(n *cfg.Node) []*cfg.Node {
 func (e *explorer) expandBlock(p *blockPlan, prefix *chunk) []*chunk {
 	conts := []*chunk{prefix}
 	max := e.c.Opts.MaxTraceEntries
-	for _, seg := range p.segs {
+	for si := range p.segs {
+		seg := &p.segs[si]
 		if seg.call == nil {
 			for ci, cont := range conts {
 				run := seg.run
@@ -646,7 +658,11 @@ func (e *explorer) expandBlock(p *blockPlan, prefix *chunk) []*chunk {
 			}
 			continue
 		}
-		variants := e.calleeVariants(seg.call, seg.ref)
+		if !seg.translated {
+			seg.variants = e.calleeVariants(seg.call, seg.ref)
+			seg.translated = true
+		}
+		variants := seg.variants
 		if len(variants) == 0 {
 			continue
 		}
@@ -682,18 +698,9 @@ func (e *explorer) expandBlock(p *blockPlan, prefix *chunk) []*chunk {
 }
 
 // calleeVariants returns the callee's merged trace entry lists translated
-// into this function's DSG context, capped at MaxCalleeVariants.  The
-// translation is computed once per call site.
+// into this function's DSG context and table, capped at
+// MaxCalleeVariants.
 func (e *explorer) calleeVariants(in *ir.Instr, ref ir.InstrRef) [][]Entry {
-	if v, ok := e.variants[ref]; ok {
-		return v
-	}
-	v := e.translateVariants(in, ref)
-	e.variants[ref] = v
-	return v
-}
-
-func (e *explorer) translateVariants(in *ir.Instr, ref ir.InstrRef) [][]Entry {
 	calleeTraces := e.c.collect(in.Callee, e.visiting)
 	if e.c.Truncated(in.Callee) {
 		// The splice inherits the callee's budget exhaustion: the merged
@@ -711,18 +718,15 @@ func (e *explorer) translateVariants(in *ir.Instr, ref ir.InstrRef) [][]Entry {
 	for _, t := range calleeTraces[:limit] {
 		total += len(t.Entries)
 	}
+	// All of a function's traces share its table (seeded ones carry the
+	// table of the run that produced them), so one remap serves them all.
+	rm := e.newRemap(calleeTraces[0].tab, e.dsg.CallMaps[ref])
 	buf := make([]Entry, 0, total)
 	out := make([][]Entry, 0, limit)
-	var rm *remap
 	for _, t := range calleeTraces[:limit] {
-		// A function's traces share one table; seeded traces carry the
-		// table of the run that produced them.
-		if rm == nil || rm.from != t.tab {
-			rm = e.newRemap(t.tab, e.dsg.CallMaps[ref])
-		}
 		start := len(buf)
 		for _, en := range t.Entries {
-			en.cell = rm.cell(en.cell)
+			en.cell = e.remapCell(rm, en.cell)
 			en.site = rm.sites[en.site]
 			buf = append(buf, en)
 		}
@@ -731,12 +735,11 @@ func (e *explorer) translateVariants(in *ir.Instr, ref ir.InstrRef) [][]Entry {
 	return out
 }
 
-// remap translates one callee table's indices into the caller's table.
+// remap translates a callee table's indices into the caller's table.
 // Sites are mapped eagerly; cells on first use, through the call site's
 // DSA clone mapping.
 type remap struct {
-	e       *explorer
-	from    *Table
+	from    *table
 	mapping map[*dsa.Node]*dsa.Node
 	// cells[i] is the caller index of callee cell i, 0 until resolved
 	// (only the empty cell maps to 0).
@@ -744,8 +747,8 @@ type remap struct {
 	sites []uint32
 }
 
-func (e *explorer) newRemap(from *Table, mapping map[*dsa.Node]*dsa.Node) *remap {
-	rm := &remap{e: e, from: from, mapping: mapping,
+func (e *explorer) newRemap(from *table, mapping map[*dsa.Node]*dsa.Node) *remap {
+	rm := &remap{from: from, mapping: mapping,
 		cells: make([]uint32, len(from.cells)), sites: make([]uint32, len(from.sites))}
 	for i, s := range from.sites {
 		rm.sites[i] = e.internSite(s)
@@ -753,11 +756,10 @@ func (e *explorer) newRemap(from *Table, mapping map[*dsa.Node]*dsa.Node) *remap
 	return rm
 }
 
-func (rm *remap) cell(i uint32) uint32 {
-	if i == 0 || rm.cells[i] != 0 {
-		return rm.cells[i]
+func (e *explorer) remapCell(rm *remap, i uint32) uint32 {
+	if i != 0 && rm.cells[i] == 0 {
+		rm.cells[i] = e.internCell(translateCell(rm.from.cells[i], rm.mapping))
 	}
-	rm.cells[i] = rm.e.internCell(translateCell(rm.from.cells[i], rm.mapping))
 	return rm.cells[i]
 }
 
