@@ -5,7 +5,7 @@
 #   make race        test suite under the race detector
 #   make vet         go vet
 #   make fuzz-short  30s per fuzz target (FuzzParse, FuzzAnalyze, FuzzEnumerate, FuzzGenome)
-#   make bench       parallel-checker speedup, plus trace collection cost (-benchmem)
+#   make bench       parallel-checker speedup, plus trace collection and rule scan cost (-benchmem)
 #   make cache-gate  incremental-cache byte-identity gate (cold vs warm, workers 1/2/8)
 #   make serve-gate  analysis-daemon chaos/soak gate (graceful restarts, shedding, breakers)
 #   make crashsim    cross-validate the static checker against crash enumeration
@@ -46,6 +46,7 @@ fuzz-short:
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkAnalyzeParallel -benchtime 200x .
 	$(GO) test -run '^$$' -bench '^BenchmarkTraceCollection' -benchmem .
+	$(GO) test -run '^$$' -bench '^BenchmarkRuleScanApp' -benchmem .
 
 # The cache gate: a warm (fully memoized) corpus analysis must render
 # byte-identical reports to a cold one at workers 1, 2 and 8, and the

@@ -449,3 +449,27 @@ func BenchmarkTraceCollectionApp(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRuleScanApp isolates the rule scan, serially, on the
+// Memcached-, NStore- and Redis-scale Table 9 modules: every function's
+// traces are collected once up front, so each iteration only scans the
+// memoized traces.  Run it with -benchmem to see the bytes and
+// allocations one scan costs.
+func BenchmarkRuleScanApp(b *testing.B) {
+	for _, spec := range core.AppSpecs() {
+		if spec.Name != "Memcached" && spec.Name != "NStore" && spec.Name != "Redis" {
+			continue
+		}
+		m := core.GenerateApp(spec)
+		ck := checker.New(m, checker.DefaultOptions(checker.Strict))
+		for _, fn := range m.FuncNames() {
+			ck.Collector.FunctionTraces(fn)
+		}
+		b.Run(spec.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ck.CheckModule()
+			}
+		})
+	}
+}

@@ -95,9 +95,7 @@ func (c *Checker) CheckFunctionsCtx(ctx context.Context, workers int, omit func(
 			return
 		}
 		rep := report.New()
-		for _, t := range c.Collector.FunctionTraces(fns[i].Name) {
-			c.CheckTrace(t, rep)
-		}
+		c.checkFunction(fns[i].Name, rep)
 		if err := ctx.Err(); err != nil {
 			// The walk may have stopped forking mid-function: findings
 			// are real but possibly incomplete.

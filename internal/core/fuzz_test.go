@@ -3,7 +3,10 @@ package core
 import (
 	"testing"
 
+	"deepmc/internal/checker"
 	"deepmc/internal/corpus"
+	"deepmc/internal/ir"
+	"deepmc/internal/report"
 )
 
 // FuzzAnalyze drives the full static pipeline (parse → verify → DSA →
@@ -53,5 +56,42 @@ func main() {
 		if err == nil && rep == nil {
 			t.Fatalf("model %s: AnalyzeSource returned neither report nor error", model)
 		}
+		if err == nil {
+			assertResumedScanMatchesPerTrace(t, src, Config{Model: model})
+		}
 	})
+}
+
+// assertResumedScanMatchesPerTrace checks that the prefix-resumed module
+// scan renders the bytes of scanning every root trace alone, in the same
+// order, into one report.
+func assertResumedScanMatchesPerTrace(t *testing.T, src string, cfg Config) {
+	t.Helper()
+	m, err := ir.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := cfg.checkerOptions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := checker.New(m, opts)
+	got, err := ck.CheckModule().JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone := report.New()
+	for _, f := range ck.Analysis.CG.Roots() {
+		for _, tr := range ck.Collector.FunctionTraces(f.Name) {
+			ck.CheckTrace(tr, alone)
+		}
+	}
+	alone.Sort()
+	want, err := alone.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("model %s: prefix-resumed scan differs from per-trace scan\n got: %s\nwant: %s", cfg.Model, got, want)
+	}
 }

@@ -1,7 +1,5 @@
 package dsa
 
-import "strings"
-
 // FieldsOverlap reports whether two field paths of the same object can
 // touch common storage: equal paths, or one a prefix of the other (the
 // whole-object path "" overlaps everything).  Array steps "[]" stand for
@@ -10,7 +8,14 @@ func FieldsOverlap(a, b string) bool {
 	if a == "" || b == "" || a == b {
 		return true
 	}
-	return strings.HasPrefix(a, b+".") || strings.HasPrefix(b, a+".")
+	return isSubpath(a, b) || isSubpath(b, a)
+}
+
+// isSubpath reports whether path a lies strictly inside path b: it
+// starts with b followed by ".".  Unlike strings.HasPrefix(a, b+".") it
+// builds no string.
+func isSubpath(a, b string) bool {
+	return len(a) > len(b) && a[len(b)] == '.' && a[:len(b)] == b
 }
 
 // FieldCovers reports whether a flush of path a fully covers storage at
@@ -19,7 +24,7 @@ func FieldCovers(a, b string) bool {
 	if a == "" || a == b {
 		return true
 	}
-	return strings.HasPrefix(b, a+".")
+	return isSubpath(b, a)
 }
 
 // MayAlias reports whether two cells can refer to overlapping storage.

@@ -389,6 +389,25 @@ func TestFieldsOverlapProperties(t *testing.T) {
 	}, cfg); err != nil {
 		t.Errorf("covers transitivity: %v", err)
 	}
+	// Both match their definition by string prefix, including paths
+	// that share a prefix without a "." boundary.
+	byPrefix := func(a, b string) (covers, overlap bool) {
+		covers = a == "" || a == b || strings.HasPrefix(b, a+".")
+		overlap = covers || b == "" || strings.HasPrefix(a, b+".")
+		return covers, overlap
+	}
+	agree := func(a, b string) bool {
+		covers, overlap := byPrefix(a, b)
+		return FieldCovers(a, b) == covers && FieldsOverlap(a, b) == overlap
+	}
+	if err := quick.Check(agree, cfg); err != nil {
+		t.Errorf("prefix definition: %v", err)
+	}
+	for _, p := range [][2]string{{"a", "ab"}, {"ab", "a"}, {"a", "a.b"}, {"a.b", "a"}, {"a.b", "a.c"}, {"a.b", "a.bc"}, {"", "x"}, {"x", ""}} {
+		if !agree(p[0], p[1]) {
+			t.Errorf("prefix definition: FieldCovers/FieldsOverlap(%q, %q) disagree with it", p[0], p[1])
+		}
+	}
 }
 
 func TestUnionFindProperties(t *testing.T) {

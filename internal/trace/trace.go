@@ -16,13 +16,17 @@
 //     through the per-call-site DSA clone mappings.
 //
 // Exploration never copies a path: a continuation is a chain of shared,
-// immutable entry runs, written out as one slice when its path ends.
-// Entries are small and pointer-free; their cells and sites index a
-// per-function table shared by all of the function's traces.
+// immutable entry runs, written out once the function's exploration
+// ends, all of its traces into one array.  Entries are small and
+// pointer-free; their cells and sites index a per-function table shared
+// by all of the function's traces.  Each trace also lists its forks, the
+// ends of the prefixes it shares with the function's other traces, so
+// the checker can scan a shared prefix once.
 package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -79,6 +83,13 @@ type Entry struct {
 	Kind Kind
 }
 
+// CellIndex returns the index of the entry's abstract location in its
+// trace's table (0, the empty cell, for entries without one).
+func (e *Entry) CellIndex() uint32 { return e.cell }
+
+// Strand returns a strand marker's strand id (-1 if dynamic).
+func (e *Entry) Strand() int64 { return e.arg }
+
 // Op is one trace entry expanded against its trace's table.
 type Op struct {
 	Kind Kind
@@ -108,14 +119,23 @@ func (e Op) String() string {
 	}
 }
 
-// table holds the abstract locations and defining sites that one
+// Table holds the abstract locations and defining sites that one
 // function's trace entries index.  It is built while the function is
 // explored and immutable once its traces are published; all of the
 // function's traces share it.  Index 0 is the empty cell and the
 // function's own site.
-type table struct {
+type Table struct {
 	cells []dsa.Cell
 	sites []site
+}
+
+// Cells returns the table's abstract locations, indexed by
+// Entry.CellIndex.  The slice is shared: callers must not modify it.
+func (tb *Table) Cells() []dsa.Cell {
+	if tb == nil {
+		return nil
+	}
+	return tb.cells
 }
 
 // site is a defining (function, file) pair.
@@ -125,9 +145,31 @@ type site struct{ fn, file string }
 type Trace struct {
 	Func    string
 	Entries []Entry
+	// Forks lists, in ascending position, the ends of the prefixes this
+	// trace shares with other traces of the same function: the first At
+	// entries of every trace that lists the same ID are identical.  A
+	// trace without forks (one copied without them, say) is scanned in
+	// full.
+	Forks []Fork
 	// tab is the table of the function the trace was collected for,
 	// shared by all of that function's traces.
-	tab *table
+	tab *Table
+}
+
+// Fork marks the end of a shared prefix: position At of a trace, where
+// a continuation chunk that other traces of the function also contain
+// ends.  ID names the chunk, uniquely within the function's trace set.
+type Fork struct {
+	At, ID uint32
+}
+
+// Table returns the trace's table, shared by all traces of its function.
+func (t *Trace) Table() *Table { return t.tab }
+
+// Site returns the defining function and file of the i'th entry.
+func (t *Trace) Site(i int) (fn, file string) {
+	s := t.tab.sites[t.Entries[i].site]
+	return s.fn, s.file
 }
 
 // Op expands the i'th entry.
@@ -340,6 +382,7 @@ func (c *Collector) collect(fn string, visiting map[string]bool) []*Trace {
 	if entry := g.Entry(); entry != nil {
 		e.walk(entry, nil, &paths)
 	}
+	e.writeOut(paths)
 	// Prioritize persistent-op-heavy traces (stable by construction order).
 	sortTraces(paths)
 	c.mu.Lock()
@@ -377,15 +420,18 @@ func sortTraces(ts []*Trace) {
 }
 
 // chunk is one link of a continuation: a run of entries following its
-// parent's.  Chunks are immutable once built, so continuations that fork
-// at a branch or a call site share their common prefix instead of
-// copying it; a trace is written out once, when its path ends.  A nil
-// chunk is the empty continuation.
+// parent's.  Chunks' entries are immutable once built, so continuations
+// that fork at a branch or a call site share their common prefix
+// instead of copying it; a trace is written out once, after the walk.
+// A nil chunk is the empty continuation.
 type chunk struct {
 	parent *chunk
 	run    []Entry
 	// n is the continuation's total length through this chunk.
 	n int
+	// refs counts the written-out traces whose chain holds the chunk;
+	// id is its Fork.ID, assigned once the chunk proves shared.
+	refs, id uint32
 }
 
 func (c *chunk) len() int {
@@ -403,16 +449,61 @@ func (c *chunk) extend(run []Entry) *chunk {
 	return &chunk{parent: c, run: run, n: c.len() + len(run)}
 }
 
-// entries writes the continuation out as one slice (nil when empty).
-func (c *chunk) entries() []Entry {
-	if c == nil {
-		return nil
-	}
-	out := make([]Entry, c.n)
+// writeTo writes the continuation out into out, which holds exactly
+// its length.
+func (c *chunk) writeTo(out []Entry) {
 	for ; c != nil; c = c.parent {
 		copy(out[c.n-len(c.run):c.n], c.run)
 	}
-	return out
+}
+
+// writeOut writes each trace's continuation out, into one array for
+// all of the function's traces, and records on each trace the ends of
+// the chunks its chain shares with other traces (refs >= 2), as
+// positions and small ids; then it lets the chunks go.  A shared chunk
+// whose next shared descendant on the chain is held by exactly as many
+// traces is left out: the two are held by the same traces (a
+// descendant's traces are a subset of its ancestor's), so every trace
+// that reaches the shallower end also reaches the deeper one.
+func (e *explorer) writeOut(ts []*Trace) {
+	total := 0
+	for _, leaf := range e.leaves {
+		total += leaf.len()
+	}
+	buf := make([]Entry, total)
+	var forks []Fork
+	ends := make([]int, len(ts))
+	for i, leaf := range e.leaves {
+		if n := leaf.len(); n > 0 {
+			ts[i].Entries = buf[:n:n]
+			leaf.writeTo(ts[i].Entries)
+			buf = buf[n:]
+		}
+		from := len(forks)
+		deeper := uint32(0)
+		for ch := leaf; ch != nil; ch = ch.parent {
+			if ch.refs < 2 || ch.refs == deeper {
+				continue
+			}
+			deeper = ch.refs
+			if ch.id == 0 {
+				e.forkIDs++
+				ch.id = e.forkIDs
+			}
+			forks = append(forks, Fork{At: uint32(ch.n), ID: ch.id})
+		}
+		slices.Reverse(forks[from:])
+		ends[i] = len(forks)
+	}
+	// The forks share one array too, sliced once it stops growing.
+	from := 0
+	for i, end := range ends {
+		if end > from {
+			ts[i].Forks = forks[from:end:end]
+		}
+		from = end
+	}
+	e.leaves = nil
 }
 
 // blockPlan is one block's expansion, computed on its first visit: the
@@ -452,12 +543,16 @@ type explorer struct {
 	// plans is indexed by cfg.Node.Index.
 	plans []*blockPlan
 	// tab is the function's table; cellIdx and siteIdx intern into it.
-	tab     *table
+	tab     *Table
 	cellIdx map[dsa.Cell]uint32
 	siteIdx map[site]uint32
 	// truncated latches when any continuation hits the trace-entry
 	// budget, or a spliced callee's traces were themselves truncated.
 	truncated bool
+	// leaves holds each ended path's continuation, in the order of the
+	// traces, until writeOut has written them out.
+	leaves  []*chunk
+	forkIDs uint32
 }
 
 func newExplorer(c *Collector, f *ir.Function, g *cfg.Graph, visiting map[string]bool) *explorer {
@@ -467,7 +562,7 @@ func newExplorer(c *Collector, f *ir.Function, g *cfg.Graph, visiting map[string
 		dsg:      c.Analysis.Graph(f.Name),
 		visiting: visiting,
 		plans:    make([]*blockPlan, len(g.Nodes)),
-		tab:      &table{cells: []dsa.Cell{{}}, sites: []site{own}},
+		tab:      &Table{cells: []dsa.Cell{{}}, sites: []site{own}},
 		cellIdx:  map[dsa.Cell]uint32{{}: 0},
 		siteIdx:  map[site]uint32{own: 0},
 	}
@@ -597,8 +692,12 @@ func (e *explorer) walk(n *cfg.Node, prefix *chunk, out *[]*Trace) {
 	conts := e.expandBlock(p, prefix)
 	for _, cont := range conts {
 		if len(p.succs) == 0 {
-			// Path ends here (ret).
-			*out = append(*out, &Trace{Func: e.f.Name, Entries: cont.entries(), tab: e.tab})
+			// Path ends here (ret); writeOut fills the trace in.
+			*out = append(*out, &Trace{Func: e.f.Name, tab: e.tab})
+			e.leaves = append(e.leaves, cont)
+			for ch := cont; ch != nil; ch = ch.parent {
+				ch.refs++
+			}
 			if len(*out) >= e.c.Opts.MaxPaths {
 				return
 			}
@@ -739,7 +838,7 @@ func (e *explorer) calleeVariants(in *ir.Instr, ref ir.InstrRef) [][]Entry {
 // Sites are mapped eagerly; cells on first use, through the call site's
 // DSA clone mapping.
 type remap struct {
-	from    *table
+	from    *Table
 	mapping map[*dsa.Node]*dsa.Node
 	// cells[i] is the caller index of callee cell i, 0 until resolved
 	// (only the empty cell maps to 0).
@@ -747,7 +846,7 @@ type remap struct {
 	sites []uint32
 }
 
-func (e *explorer) newRemap(from *table, mapping map[*dsa.Node]*dsa.Node) *remap {
+func (e *explorer) newRemap(from *Table, mapping map[*dsa.Node]*dsa.Node) *remap {
 	rm := &remap{from: from, mapping: mapping,
 		cells: make([]uint32, len(from.cells)), sites: make([]uint32, len(from.sites))}
 	for i, s := range from.sites {
